@@ -36,6 +36,9 @@ sim::Time CpuComplex::processing_time(const Work& w) const {
 void CpuComplex::maybe_start(std::size_t core_idx) {
   Core& core = cores_[core_idx];
   if (core.busy || core.q.empty()) return;
+  // A busy core adds copy pressure, and its processing time reads the
+  // controller's latency: bring an idle controller up to date first.
+  wake_memctrl();
   core.busy = true;
   busy_cores_ += 1.0;
   Work w = std::move(core.q.front());
@@ -67,6 +70,7 @@ void CpuComplex::finish(std::size_t core_idx, Work w) {
   // Copy traffic: what the copy-to-user costs in DRAM bandwidth depends on
   // whether the packet was still LLC-resident (§2.2 / DDIO discussion).
   const double amp = w.from_llc ? cfg_.copy_llc_amplification : cfg_.copy_amplification;
+  wake_memctrl();
   copy_backlog_ += amp * static_cast<double>(pkt.payload);
   if (w.from_llc) ddio_.consumed(pkt.payload);
 

@@ -42,6 +42,9 @@ void IioBuffer::insert(net::PacketRef pkt, sim::Bytes credit_bytes, bool to_memo
   const sim::Time now = sim_.now();
   if (tracer_ && last_chunk) tracer_->stage(obs::PacketStage::kIioAdmit, *pkt, now);
   if (to_memory) {
+    // The entry adds pressure, and its admission wait reads the
+    // controller's overload: bring an idle controller up to date first.
+    wake_memctrl();
     Entry e;
     if (last_chunk) e.pkt = std::move(pkt);
     e.remaining = credit_bytes;

@@ -1,12 +1,62 @@
 #include "host/memctrl.h"
 
+#include <bit>
 #include <cassert>
 #include <cmath>
 
 namespace hostcc::host {
 
+namespace {
+
+// One idle-quantum step of `e`: the add(0) a quantum with no grants and no
+// pressure applies. Returns whether it changed anything; once no EWMA
+// changes, every further step is a no-op too (floating-point fixed point).
+bool decay_step(sim::Ewma& e) {
+  const bool was_seeded = e.seeded();
+  const auto before = std::bit_cast<std::uint64_t>(e.value());
+  e.add(0.0);
+  return !was_seeded || std::bit_cast<std::uint64_t>(e.value()) != before;
+}
+
+}  // namespace
+
+sim::Time MemoryController::extra_latency_at(double util) {
+  const auto& curve = HostConfig::kDramExtraCurve;
+  constexpr std::size_t kPoints = std::size(curve);
+  const double u = std::clamp(util, curve[0].util, curve[kPoints - 1].util);
+  double extra_ns = curve[kPoints - 1].extra_ns;
+  for (std::size_t i = 1; i < kPoints; ++i) {
+    if (u <= curve[i].util) {
+      const double f = (u - curve[i - 1].util) / (curve[i].util - curve[i - 1].util);
+      extra_ns = curve[i - 1].extra_ns + f * (curve[i].extra_ns - curve[i - 1].extra_ns);
+      break;
+    }
+  }
+  return sim::Time::nanoseconds(extra_ns);
+}
+
+// An idle quantum grants nothing, so it only feeds a zero sample to every
+// EWMA (rate 0 * scale, pressure 0, utilization 0 + 0), recomputes the load
+// latency from the decayed utilization and sees zero resident bytes.
+void MemoryController::replay_idle_quanta() const {
+  const std::uint64_t pending = timer_.idle_ticks() - replayed_;
+  for (std::uint64_t k = 0; k < pending; ++k) {
+    bool moved = false;
+    for (std::size_t i = 0; i < sources_.size(); ++i) {
+      moved |= decay_step(rate_ewma_[i]);
+      moved |= decay_step(pressure_ewma_[i]);
+    }
+    moved |= decay_step(util_ewma_);
+    if (!moved) break;
+  }
+  replayed_ = timer_.idle_ticks();
+  extra_latency_ = extra_latency_at(util_ewma_.value());
+  queue_wait_ = sim::Time::zero();
+}
+
 void MemoryController::quantum() {
   obs::ProfScope scope(prof_);
+  ++quanta_run_;
   const sim::Time now = sim_.now();
   const double cap = quantum_cap_bytes_;
 
@@ -69,19 +119,13 @@ void MemoryController::quantum() {
   const double rho = served * inv_quantum_cap_ + std::max(backlog_penalty, 0.0);
   util_ewma_.add(rho);
 
-  const auto& curve = HostConfig::kDramExtraCurve;
-  constexpr std::size_t kPoints = std::size(curve);
-  const double u = std::clamp(util_ewma_.value(), curve[0].util, curve[kPoints - 1].util);
-  double extra_ns = curve[kPoints - 1].extra_ns;
-  for (std::size_t i = 1; i < kPoints; ++i) {
-    if (u <= curve[i].util) {
-      const double f = (u - curve[i - 1].util) / (curve[i].util - curve[i - 1].util);
-      extra_ns = curve[i - 1].extra_ns + f * (curve[i].extra_ns - curve[i - 1].extra_ns);
-      break;
-    }
-  }
-  extra_latency_ = sim::Time::nanoseconds(extra_ns);
+  extra_latency_ = extra_latency_at(util_ewma_.value());
   queue_wait_ = sim::Time::seconds(total_pressure / cfg_.dram_bandwidth.bytes_per_sec());
+
+  // Nothing offered and nothing resident: until a network-path source
+  // wakes the controller, every quantum would repeat this one with zero
+  // inputs. A host-local source (MApp) changes its offer with time alone.
+  if (!has_host_local_ && total_demand == 0.0 && total_pressure == 0.0) timer_.set_idle(true);
 }
 
 }  // namespace hostcc::host

@@ -37,6 +37,7 @@ class TxPath : public MemSource {
       if (egress_) egress_(p);
       return;
     }
+    wake_memctrl();  // the queued packet is new DMA-read demand
     queued_cost_ += cost(*p);
     q_.push_back(std::move(p));
     pump();

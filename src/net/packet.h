@@ -38,6 +38,8 @@ struct Packet {
   SeqNum seq = 0;          // first payload byte's sequence number
   SeqNum ack = -1;         // cumulative ACK (valid if has_ack)
   bool has_ack = false;
+  // Flow churn: set on data segments sent before the connection's first ACK,
+  // so the receiver passive-opens on any of them, not only on seq 0.
   bool syn = false;
   bool fin = false;
   bool ece = false;        // ECN-echo flag on ACKs (DCTCP feedback)

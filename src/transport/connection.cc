@@ -88,6 +88,9 @@ void TcpConnection::send_segment(net::SeqNum seq, sim::Bytes len, bool is_retx, 
   // receiver can retire its endpoint once the stream is complete. A
   // retransmit or TLP of the tail recomputes it identically.
   p.fin = fin_on_complete_ && !infinite_source_ && seq + len == write_limit_;
+  // Until the first ACK, any segment may be the first the receiver sees
+  // (the fabric can drop seq 0): each one may open the receiving endpoint.
+  p.syn = fin_on_complete_ && snd_una_ == 0;
 
   auto it = segs_.find(seq);
   if (it == segs_.end()) {

@@ -74,9 +74,12 @@ class Stack {
     free_.push_back(std::move(nh));
   }
 
-  // Passive-open hook: a data packet for an unknown flow whose segment
-  // starts the stream (seq 0) is offered to the hook, which may open the
-  // receiving endpoint; the packet is then re-dispatched to it. The
+  // Passive-open hook: a data packet for an unknown flow that starts the
+  // stream (seq 0) or was sent before the sender's first ACK (syn) is
+  // offered to the hook, which may open the receiving endpoint; the packet
+  // is then re-dispatched to it. Opening on syn keeps the segments after a
+  // lost first segment: the endpoint buffers them out of order until the
+  // retransmitted seq 0 fills the hole. The
   // workload engine uses this so receiver endpoints come into existence
   // only when a message actually arrives.
   void set_accept(std::function<void(const net::Packet&)> fn) { accept_ = std::move(fn); }
@@ -177,7 +180,7 @@ class Stack {
     if (p.dst != id_) return;  // mis-delivered; fabric bug guard
     obs::ProfScope scope(prof_);
     auto it = conns_.find(p.flow);
-    if (it == conns_.end() && accept_ && p.payload > 0 && p.seq == 0) {
+    if (it == conns_.end() && accept_ && p.payload > 0 && (p.seq == 0 || p.syn)) {
       accept_(p);  // passive open; may insert the flow
       it = conns_.find(p.flow);
     }

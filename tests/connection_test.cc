@@ -155,6 +155,38 @@ TEST(ConnectionLossTest, LostRetransmitRepairedByRackTimer) {
   EXPECT_GE(ca->stats().retransmitted_bytes, 2 * 4030);
 }
 
+// Flow churn: the fabric drops a message's first segment. The segments
+// behind it were sent before any ACK, so they carry syn and the receiver
+// opens its endpoint on the first one that arrives instead of discarding
+// them; the retransmitted seq 0 fills the hole. Nothing is orphaned and
+// every byte is delivered exactly once.
+TEST(ConnectionLossTest, ChurnFlowSurvivesLostFirstSegment) {
+  LossyTestbed lt([](const net::Packet& p) { return p.seq == 0 && !p.retransmit; });
+  Testbed& tb = lt.tb();
+  constexpr net::FlowId kFlow = 7;
+  constexpr sim::Bytes kMessage = 20 * 4030;
+  sim::Bytes delivered = 0;
+  int fins = 0;
+  tb.b->set_accept([&](const net::Packet& p) {
+    transport::TcpConnection& rx = tb.b->open(p.flow, p.src);
+    rx.set_on_delivered([&](sim::Bytes n) { delivered += n; });
+    rx.set_on_fin([&] {
+      ++fins;
+      tb.sim.after(sim::Time::zero(), [&] { tb.b->close(kFlow); });
+    });
+  });
+  transport::TcpConnection& tx = tb.a->open(kFlow, 1);
+  tx.set_fin_on_complete(true);
+  tx.write(kMessage);
+  tb.run_for(sim::Time::milliseconds(50));
+
+  EXPECT_EQ(tb.b->orphan_packets(), 0u);
+  EXPECT_EQ(delivered, kMessage);
+  EXPECT_EQ(fins, 1);
+  EXPECT_EQ(tb.b->closes(), 1u);
+  EXPECT_EQ(tx.snd_una(), kMessage);
+}
+
 TEST(ConnectionLossTest, TailLossOfSinglePacketNeedsRto) {
   // The very last packet of a stream is dropped; with nothing in flight
   // behind it and only one packet outstanding, TLP is ineligible (§2.2)

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -274,6 +276,92 @@ TEST(PeriodicTimerTest, StopInsideCallbackIsSafe) {
   t.start();
   sim.run_until(Time::milliseconds(1));
   EXPECT_EQ(fired, 2);
+}
+
+// Runs a fixed script of periodic lanes and events and logs, at every
+// event, the clock, each lane's tick count so far and the executed-event
+// count. With `idle`, lanes 0-2 count their ticks in idle mode (fired in
+// bulk between events) instead of running their callbacks.
+std::vector<std::int64_t> run_lane_script(bool idle) {
+  Simulator sim;
+  const Time p = Time::nanoseconds(100);
+  std::vector<std::uint64_t> calls(4, 0);
+  std::vector<std::unique_ptr<PeriodicTimer>> lanes;
+  std::vector<std::int64_t> log;
+  std::function<void(std::int64_t)> record;
+  // Lanes 0-2 share a period (2 starts out of phase); lane 3 has another,
+  // always runs its callback and logs from it, so its place among the
+  // other lanes' ticks is checked too.
+  const Time periods[] = {p, p, p, Time::nanoseconds(170)};
+  for (std::size_t i = 0; i < 4; ++i) {
+    lanes.push_back(std::make_unique<PeriodicTimer>(sim, periods[i], [&, i] {
+      ++calls[i];
+      if (i == 3) record(-3);
+    }));
+  }
+  record = [&](std::int64_t tag) {
+    log.push_back(tag);
+    log.push_back(sim.now().ps());
+    for (std::size_t i = 0; i < 4; ++i) {
+      log.push_back(static_cast<std::int64_t>(calls[i] + lanes[i]->idle_ticks()));
+    }
+    log.push_back(static_cast<std::int64_t>(sim.events_executed()));
+  };
+  const auto set_idle = [&](std::size_t i, bool on) {
+    if (idle) lanes[i]->set_idle(on);
+  };
+  lanes[0]->start();
+  lanes[1]->start();
+  lanes[3]->start();
+  for (std::size_t i = 0; i < 3; ++i) set_idle(i, true);
+  sim.at(Time::nanoseconds(30), [&] { lanes[2]->start(); });
+
+  // Events every 310 ns, some on tick instants (queued long before the
+  // tick: they run first), each third one queuing a follow-up on the next
+  // tick instant of lane 0 (queued after that lane's previous tick: it runs
+  // second). Then sparse events across long gaps.
+  for (std::int64_t k = 0; k < 80; ++k) {
+    sim.at(Time::nanoseconds(310.0 * static_cast<double>(k)), [&, k] {
+      record(k);
+      if (k % 3 == 0) {
+        const std::int64_t next_tick = (sim.now().ps() / p.ps() + 1) * p.ps();
+        sim.at(Time::picoseconds(next_tick), [&, k] { record(1000 + k); });
+      }
+    });
+  }
+  for (double us : {40.0, 40.05, 90.0, 90.1, 300.0}) {
+    sim.at(Time::microseconds(us), [&, us] { record(static_cast<std::int64_t>(us * 100)); });
+  }
+  // Lane 3 stops for a long idle-only stretch; lane 0 goes busy for a
+  // while; lane 1 is parked and restarted off-grid.
+  sim.at(Time::microseconds(20), [&] { lanes[3]->stop(); });
+  sim.at(Time::microseconds(200.03), [&] { lanes[3]->start(); });
+  sim.at(Time::microseconds(45), [&] { set_idle(0, false); });
+  sim.at(Time::microseconds(60), [&] { set_idle(0, true); });
+  sim.at(Time::microseconds(70.01), [&] { lanes[1]->stop(); });
+  sim.at(Time::microseconds(80.037), [&] { lanes[1]->start(); });
+
+  // Deadlines on and off tick instants.
+  for (double us : {7.0, 7.05, 25.0, 100.0, 350.0}) {
+    sim.run_until(Time::microseconds(us));
+    record(-static_cast<std::int64_t>(us * 100));
+  }
+  // Back to callbacks: later ties at tick instants must still order the
+  // same way, which needs every lane's seq to match.
+  for (std::size_t i = 0; i < 3; ++i) set_idle(i, false);
+  for (std::int64_t k = 1; k <= 20; ++k) {
+    sim.at(Time::microseconds(350) + p * static_cast<double>(k), [&, k] { record(2000 + k); });
+  }
+  sim.run_until(Time::microseconds(360));
+  record(-1);
+  return log;
+}
+
+TEST(PeriodicTimerTest, IdleLanesKeepExactTickOrder) {
+  const std::vector<std::int64_t> reference = run_lane_script(false);
+  const std::vector<std::int64_t> idle = run_lane_script(true);
+  EXPECT_EQ(idle, reference);
+  EXPECT_GT(reference.size(), 100u * 7);
 }
 
 }  // namespace

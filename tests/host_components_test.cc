@@ -2,6 +2,14 @@
 // bank, memory controller, DDIO model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "apps/mem_app.h"
 #include "host/config.h"
 #include "host/ddio.h"
@@ -159,6 +167,13 @@ class FixedSource : public MemSource {
   std::string name() const override { return name_; }
   Offer mem_offer(sim::Time, sim::Time) override { return {demand_, pressure_}; }
   void mem_granted(sim::Time, double b) override { granted += b; }
+  // Changes the offer; wakes an idle controller first (the MemSource wake
+  // contract), so the next quantum polls the new offer.
+  void set_offer(double demand_per_quantum, double pressure) {
+    wake_memctrl();
+    demand_ = demand_per_quantum;
+    pressure_ = pressure;
+  }
   double granted = 0.0;
 
  private:
@@ -253,6 +268,284 @@ TEST(MemControllerTest, CheckpointReportsPerSourceRates) {
   const auto rates = mc.checkpoint(sim.now());
   ASSERT_EQ(rates.size(), 1u);
   EXPECT_NEAR(rates[0].as_gigabytes_per_sec(), 11.0, 0.5);
+}
+
+TEST(MemControllerTest, IdleNetworkSourcesSkipQuantaUntilWoken) {
+  sim::Simulator sim;
+  HostConfig cfg;
+  MemoryController mc(sim, cfg);
+  FixedSource a("a", 0.0, 0.0);
+  mc.add_source(&a, true);
+  sim.run_until(sim::Time::microseconds(10));  // 100 quanta, the first runs
+  EXPECT_TRUE(mc.idle());
+  EXPECT_EQ(mc.quanta_run(), 1u);
+  EXPECT_EQ(mc.quanta_skipped(), 99u);
+
+  a.set_offer(1000, 1000);
+  EXPECT_FALSE(mc.idle());
+  sim.run_until(sim::Time::microseconds(20));
+  EXPECT_EQ(mc.quanta_run(), 101u);
+  EXPECT_NEAR(a.granted, 100 * 1000.0, 1500.0);
+}
+
+TEST(MemControllerTest, HostLocalSourceKeepsControllerBusy) {
+  sim::Simulator sim;
+  HostConfig cfg;
+  MemoryController mc(sim, cfg);
+  FixedSource net("net", 0.0, 0.0), local("local", 0.0, 0.0);
+  mc.add_source(&net, true);
+  mc.add_source(&local, false);
+  sim.run_until(sim::Time::microseconds(10));
+  EXPECT_FALSE(mc.idle());
+  EXPECT_EQ(mc.quanta_run(), 100u);
+  EXPECT_EQ(mc.quanta_skipped(), 0u);
+}
+
+// Reference arithmetic of one memory-controller quantum, as the controller
+// computes it when it runs every tick. The replay test holds the
+// controller to these bits at every read.
+struct QuantumOracle {
+  QuantumOracle(const HostConfig& c, std::size_t n)
+      : cfg(c),
+        cap(c.dram_bandwidth.bytes_per_sec() * c.mc_quantum.sec()),
+        inv_cap(cap > 0.0 ? 1.0 / cap : 0.0),
+        rate_scale(8.0 / c.mc_quantum.sec()),
+        rate(n, sim::Ewma(0.02)),
+        pressure(n, sim::Ewma(0.02)),
+        util(c.mc_util_ewma_weight),
+        granted(n, 0) {}
+
+  void quantum(std::vector<MemSource::Offer> offers) {
+    const std::size_t n = offers.size();
+    std::vector<double> grants(n, 0.0);
+    double total_demand = 0.0;
+    double total_pressure = 0.0;
+    for (auto& o : offers) {
+      if (o.demand_bytes > 0.0) {
+        o.pressure_bytes = std::max(o.pressure_bytes, static_cast<double>(sim::kCacheline));
+      }
+      total_demand += o.demand_bytes;
+      total_pressure += o.pressure_bytes;
+    }
+    double cap_left = std::min(cap, total_demand);
+    for (int round = 0; round < 8 && cap_left > 1.0; ++round) {
+      double active_pressure = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (grants[i] < offers[i].demand_bytes) active_pressure += offers[i].pressure_bytes;
+      }
+      if (active_pressure <= 0.0) break;
+      const double fill_per_pressure = cap_left / active_pressure;
+      double distributed = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double want = offers[i].demand_bytes - grants[i];
+        if (want <= 0.0) continue;
+        const double take = std::min(want, fill_per_pressure * offers[i].pressure_bytes);
+        grants[i] += take;
+        distributed += take;
+      }
+      cap_left -= distributed;
+      if (distributed < 1.0) break;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (grants[i] > 0.0) granted[i] += static_cast<sim::Bytes>(grants[i] + 0.5);
+      rate[i].add(grants[i] * rate_scale);
+      pressure[i].add(offers[i].pressure_bytes);
+    }
+    double served = 0.0;
+    for (std::size_t i = 0; i < n; ++i) served += grants[i];
+    const double backlog_penalty = std::min((total_demand - served) * inv_cap, 0.3);
+    util.add(served * inv_cap + std::max(backlog_penalty, 0.0));
+
+    const auto& curve = HostConfig::kDramExtraCurve;
+    constexpr std::size_t kPoints = std::size(curve);
+    const double u = std::clamp(util.value(), curve[0].util, curve[kPoints - 1].util);
+    double extra_ns = curve[kPoints - 1].extra_ns;
+    for (std::size_t i = 1; i < kPoints; ++i) {
+      if (u <= curve[i].util) {
+        const double f = (u - curve[i - 1].util) / (curve[i].util - curve[i - 1].util);
+        extra_ns = curve[i - 1].extra_ns + f * (curve[i].extra_ns - curve[i - 1].extra_ns);
+        break;
+      }
+    }
+    extra = sim::Time::nanoseconds(extra_ns);
+    queue_wait = sim::Time::seconds(total_pressure / cfg.dram_bandwidth.bytes_per_sec());
+  }
+
+  sim::Time source_wait(std::size_t i) const {
+    const double r = rate[i].value() / 8.0;
+    if (r < 1e6) return sim::Time::zero();
+    return std::min(sim::Time::seconds(pressure[i].value() / r), sim::Time::microseconds(1));
+  }
+
+  const HostConfig& cfg;
+  const double cap;
+  const double inv_cap;
+  const double rate_scale;
+  std::vector<sim::Ewma> rate;
+  std::vector<sim::Ewma> pressure;
+  sim::Ewma util;
+  std::vector<sim::Bytes> granted;
+  sim::Time extra = sim::Time::zero();
+  sim::Time queue_wait = sim::Time::zero();
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// A network-path source whose offer follows a script over the controller's
+// tick ordinals; it wakes the controller before each burst, per contract.
+class ScriptedSource : public MemSource {
+ public:
+  ScriptedSource(std::string name, std::function<Offer(sim::Time)> offer)
+      : name_(std::move(name)), offer_(std::move(offer)) {}
+  std::string name() const override { return name_; }
+  Offer mem_offer(sim::Time now, sim::Time) override { return offer_(now); }
+  void mem_granted(sim::Time, double) override {}
+  void wake() { wake_memctrl(); }
+
+ private:
+  std::string name_;
+  std::function<Offer(sim::Time)> offer_;
+};
+
+// Idle quanta are replayed, not run: every getter must still return the
+// bits of the per-quantum arithmetic, whether read mid-gap, at a tick
+// instant (before or after that tick), right after a wake, or while the
+// lane is parked. Gaps of 1, 2, 3 and 50 zero quanta, plus one long enough
+// for every EWMA to reach its floating-point fixed point. Only the first
+// read after a gap replays it, so every read starts with getter
+// `first_getter`; the test runs the script once per getter.
+constexpr std::size_t kReplayGetters = 13;
+
+void run_idle_replay_script(std::size_t first_getter) {
+  SCOPED_TRACE("first getter " + std::to_string(first_getter));
+  sim::Simulator sim;
+  HostConfig cfg;
+  MemoryController mc(sim, cfg);
+  const sim::Time q = cfg.mc_quantum;
+
+  // Tick ordinal n fires at n*q until the park after tick kPark; the lane
+  // restarts at the unpark instant and ticks every q from there.
+  constexpr std::int64_t kPark = 60100;
+  const auto ticks = [&](std::int64_t n) { return sim::Time::picoseconds(q.ps() * n); };
+  const sim::Time t_park = ticks(kPark) + q / 2;
+  const sim::Time t_unpark = t_park + sim::Time::nanoseconds(3330);
+  const auto tick_time = [&](std::int64_t n) {
+    return n <= kPark ? ticks(n) : t_unpark + ticks(n - kPark);
+  };
+  const auto ordinal_at = [&](sim::Time t) {
+    return t <= t_park ? t.ps() / q.ps() : kPark + (t - t_unpark).ps() / q.ps();
+  };
+
+  // Bursts [begin, end) of non-zero offers per source; zero elsewhere.
+  struct Burst {
+    std::int64_t begin, end;
+  };
+  const std::vector<std::vector<Burst>> bursts = {
+      {{1, 40}, {41, 60}, {62, 80}, {83, 100}, {150, 200}, {60200, 60260}},
+      {{10, 30}, {41, 55}, {150, 180}},
+  };
+  const auto offer = [&](std::size_t src, std::int64_t n) -> MemSource::Offer {
+    for (const Burst& b : bursts[src]) {
+      if (n < b.begin || n >= b.end) continue;
+      // Overload during [150, 200): demand tops the 4400-byte quantum.
+      const double demand = (n >= 150 && n < 200 ? 3000.0 : 500.0) + (n * 37 % 900);
+      return {demand, 300.0 + static_cast<double>(n * 53 % 2000) + 100.0 * src};
+    }
+    return {};
+  };
+  ScriptedSource s0("s0", [&](sim::Time t) { return offer(0, ordinal_at(t)); });
+  ScriptedSource s1("s1", [&](sim::Time t) { return offer(1, ordinal_at(t)); });
+  mc.add_source(&s0, true);
+  mc.add_source(&s1, true);
+  std::vector<ScriptedSource*> srcs = {&s0, &s1};
+
+  QuantumOracle oracle(cfg, srcs.size());
+  std::int64_t oracle_ticks = 0;
+  int checks = 0;
+  // Every getter as (controller bits, oracle bits).
+  using Read = std::pair<std::uint64_t, std::uint64_t>;
+  const std::vector<std::function<Read()>> getters = {
+      [&] { return Read{bits(mc.utilization()), bits(std::clamp(oracle.util.value(), 0.0, 1.0))}; },
+      [&] { return Read{bits(mc.overload()), bits(std::max(oracle.util.value(), 0.0))}; },
+      [&] { return Read(mc.extra_latency().ps(), oracle.extra.ps()); },
+      [&] {
+        return Read(mc.device_latency().ps(), (cfg.dram_latency_base + oracle.extra).ps());
+      },
+      [&] { return Read(mc.queue_wait().ps(), oracle.queue_wait.ps()); },
+      [&] {
+        return Read(mc.access_latency().ps(),
+                    (cfg.dram_latency_base + oracle.extra + oracle.queue_wait).ps());
+      },
+      [&] { return Read{bits(mc.host_local_share()), bits(0.0)}; },
+      [&] { return Read{bits(mc.granted_rate(0).bits_per_sec()), bits(oracle.rate[0].value())}; },
+      [&] { return Read{bits(mc.granted_rate(1).bits_per_sec()), bits(oracle.rate[1].value())}; },
+      [&] { return Read(mc.source_wait(&s0).ps(), oracle.source_wait(0).ps()); },
+      [&] { return Read(mc.source_wait(&s1).ps(), oracle.source_wait(1).ps()); },
+      [&] { return Read(mc.granted_bytes(0), oracle.granted[0]); },
+      [&] { return Read(mc.granted_bytes(1), oracle.granted[1]); },
+  };
+  ASSERT_EQ(getters.size(), kReplayGetters);
+  // Compares every getter against the oracle after `ticks` quanta.
+  const auto check = [&](std::int64_t ticks, const std::string& where) {
+    for (; oracle_ticks < ticks; ++oracle_ticks) {
+      oracle.quantum({offer(0, oracle_ticks + 1), offer(1, oracle_ticks + 1)});
+    }
+    EXPECT_EQ(mc.quanta_run() + mc.quanta_skipped(), static_cast<std::uint64_t>(ticks)) << where;
+    for (std::size_t k = 0; k < getters.size(); ++k) {
+      const std::size_t g = (first_getter + k) % getters.size();
+      const auto [got, want] = getters[g]();
+      EXPECT_EQ(got, want) << where << ", getter " << g << (k == 0 ? " (first read)" : "");
+    }
+    ++checks;
+  };
+
+  // Each source wakes the controller half a quantum before its bursts.
+  for (std::size_t i = 0; i < srcs.size(); ++i) {
+    for (const Burst& b : bursts[i]) {
+      sim.at(tick_time(b.begin) - q / 2, [&, i, b] {
+        srcs[i]->wake();
+        check(b.begin - 1, "after wake before tick " + std::to_string(b.begin));
+      });
+    }
+  }
+  // Mid-gap reads, half a quantum after tick n (none in the 50-quantum gap:
+  // there the whole replay happens on wake).
+  std::vector<std::int64_t> mid = {40, 60, 61, 80, 81, 82, 200, 205, 45200, 60150, 60270, 60400};
+  for (std::int64_t n = 1200; n < 45000; n += 2000) mid.push_back(n);
+  for (std::int64_t n : mid) {
+    sim.at(tick_time(n) + q / 2, [&, n] { check(n, "mid-gap after tick " + std::to_string(n)); });
+  }
+  // 45000 quanta into the long gap every EWMA sits at its fixed point (a
+  // denormal or zero), so the replay there ended early.
+  sim.at(tick_time(45200) + q / 2,
+         [&] { EXPECT_LT(mc.granted_rate(0).bits_per_sec(), 1e-300); });
+  // At a tick instant: an event queued earlier runs before that tick, one
+  // queued after the previous tick runs after it.
+  sim.at(tick_time(3000), [&] { check(2999, "at tick 3000, before it"); });
+  sim.at(tick_time(3500) - q / 2, [&] {
+    sim.at(tick_time(3500), [&] { check(3500, "at tick 3500, after it"); });
+  });
+  // Park mid-gap with quanta pending, read while parked, unpark.
+  sim.at(t_park, [&] {
+    mc.set_quantum_active(false);
+    check(kPark, "parked");
+  });
+  sim.at(t_park + sim::Time::nanoseconds(1000), [&] { check(kPark, "while parked"); });
+  sim.at(t_unpark, [&] {
+    mc.set_quantum_active(true);
+    check(kPark, "unparked");
+  });
+
+  sim.run_until(tick_time(60400) + q);
+  EXPECT_EQ(checks, static_cast<int>(mid.size()) + 9 + 2 + 3);
+  EXPECT_TRUE(mc.idle());
+  // The gaps really were skipped, not run.
+  EXPECT_LT(mc.quanta_run(), 400u);
+  EXPECT_GT(mc.quanta_skipped(), 60000u);
+}
+
+TEST(MemControllerTest, IdleReplayMatchesPerQuantumArithmeticBitwise) {
+  for (std::size_t g = 0; g < kReplayGetters; ++g) run_idle_replay_script(g);
 }
 
 // ------------------------------------------------------------------ DDIO

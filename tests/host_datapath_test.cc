@@ -4,6 +4,12 @@
 // synthetic packets (no transport).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "host/host.h"
 #include "net/packet.h"
 #include "sim/simulator.h"
@@ -167,6 +173,104 @@ TEST_F(HostDatapathTest, DdioHitsBypassMemoryBandwidth) {
   EXPECT_EQ(delivered, 100);
   // The IIO DMA source consumed no DRAM grants (index 0 = iio_dma).
   EXPECT_EQ(host->memctrl().granted_bytes(0), 0);
+}
+
+// A host-local source that never offers anything. It keeps its memory
+// controller running every quantum without changing any of the quantum's
+// arithmetic, so a host carrying one is the per-quantum reference for a
+// host whose idle controller skips quanta.
+class ZeroSource : public MemSource {
+ public:
+  std::string name() const override { return "zero"; }
+  Offer mem_offer(sim::Time, sim::Time) override { return {}; }
+  void mem_granted(sim::Time, double) override {}
+};
+
+struct WakeTrace {
+  std::vector<std::int64_t> events;  // delivery and egress ids and instants
+  std::vector<std::uint64_t> memctrl;  // controller state sampled mid-gap
+  std::uint64_t skipped = 0;
+};
+
+// Receives and sends bursts of packets separated by idle gaps (one
+// quantum up to milliseconds) and records what the datapath did and what
+// its memory controller reported.
+WakeTrace run_wake_script(const HostConfig& cfg, bool reference) {
+  sim::Simulator sim;
+  HostModel host(sim, cfg, "t");
+  ZeroSource zero;
+  if (reference) host.add_host_local_source(&zero);
+  WakeTrace tr;
+  host.set_stack_rx([&](net::Packet& p) {
+    tr.events.push_back(static_cast<std::int64_t>(p.id));
+    tr.events.push_back(sim.now().ps());
+  });
+  host.set_egress([&](const net::Packet& p) {
+    tr.events.push_back(-static_cast<std::int64_t>(p.id));
+    tr.events.push_back(sim.now().ps());
+  });
+  const MemoryController& mc = host.memctrl();
+  const auto sample = [&] {
+    tr.memctrl.push_back(std::bit_cast<std::uint64_t>(mc.utilization()));
+    tr.memctrl.push_back(std::bit_cast<std::uint64_t>(mc.overload()));
+    tr.memctrl.push_back(static_cast<std::uint64_t>(mc.access_latency().ps()));
+    tr.memctrl.push_back(static_cast<std::uint64_t>(mc.source_wait(&host.cpu()).ps()));
+    for (std::size_t i = 0; i < 3; ++i) {
+      tr.memctrl.push_back(std::bit_cast<std::uint64_t>(mc.granted_rate(i).bits_per_sec()));
+      tr.memctrl.push_back(static_cast<std::uint64_t>(mc.granted_bytes(i)));
+    }
+  };
+  // Receive-only and send-only bursts, so each datapath stage is the one
+  // that wakes the controller at least once.
+  struct Burst {
+    double start_us;
+    int rx, tx;
+  };
+  const Burst bursts[] = {
+      {20.0, 6, 0}, {60.05, 0, 3}, {400.0, 6, 0}, {4000.0, 0, 3}, {4000.1, 6, 3},
+  };
+  std::uint64_t id = 1;
+  for (const Burst& b : bursts) {
+    sim.at(sim::Time::microseconds(b.start_us), [&] {
+      for (int k = 0; k < b.rx; ++k) host.receive_from_wire(data_pkt(id++, 3, 4030));
+      for (int k = 0; k < b.tx; ++k) {
+        net::Packet out = data_pkt(id++, 5, 4030);
+        out.src = 0;
+        out.dst = 1;
+        host.send(out);
+      }
+    });
+    sim.at(sim::Time::microseconds(b.start_us + 30.0), sample);
+  }
+  sim.run_until(sim::Time::milliseconds(6));
+  sample();
+  tr.skipped = mc.quanta_skipped();
+  return tr;
+}
+
+TEST(MemctrlWakeTest, IdleSkippingHostMatchesPerQuantumReference) {
+  HostConfig memory_path;
+  HostConfig llc_path;  // DDIO always hits: only copy traffic reaches DRAM
+  llc_path.ddio_enabled = true;
+  llc_path.ddio_evict_base = 0.0;
+  llc_path.ddio_evict_pollution = 0.0;
+  llc_path.ddio_evict_overflow = 0.0;
+  // Busy cores without memory stalls offer no pressure, so the copy
+  // backlog a finished packet leaves must wake the controller itself.
+  HostConfig llc_no_stalls = llc_path;
+  llc_no_stalls.cpu_mem_stalls_per_byte = 0.0;
+  const std::pair<const char*, HostConfig> cases[] = {
+      {"memory path", memory_path}, {"ddio hits", llc_path}, {"no stalls", llc_no_stalls}};
+  for (const auto& [name, cfg] : cases) {
+    SCOPED_TRACE(name);
+    const WakeTrace skipping = run_wake_script(cfg, false);
+    const WakeTrace reference = run_wake_script(cfg, true);
+    EXPECT_EQ(reference.skipped, 0u);
+    EXPECT_GT(skipping.skipped, 50000u);  // most of the 6 ms is idle
+    EXPECT_EQ(skipping.events.size(), 2u * (18 + 9));  // every packet delivered or sent
+    EXPECT_EQ(skipping.events, reference.events);
+    EXPECT_EQ(skipping.memctrl, reference.memctrl);
+  }
 }
 
 TEST_F(HostDatapathTest, AckPacketsProcessCheaply) {
