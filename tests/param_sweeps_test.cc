@@ -7,6 +7,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <random>
 #include <vector>
 
@@ -55,6 +56,11 @@ struct DistCase {
   const char* name;
   int kind;  // 0 uniform, 1 exponential-ish, 2 bimodal
 };
+
+// Print the case by name. gtest's default byte dump would include the
+// string literal's address, which moves with every process under ASLR and
+// so gives the listed test a different name on every discovery.
+void PrintTo(const DistCase& c, std::ostream* os) { *os << c.name; }
 
 class HistogramDistSweep : public ::testing::TestWithParam<DistCase> {};
 
