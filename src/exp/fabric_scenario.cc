@@ -649,6 +649,11 @@ void FabricScenario::build() {
       for (auto& st : stacks_) n += st->orphan_packets();
       return n;
     });
+    metrics_.counter_fn("workload/time_wait_segments", [this] {
+      std::uint64_t n = 0;
+      for (auto& st : stacks_) n += st->time_wait_segments();
+      return n;
+    });
   }
   for (std::size_t i = 0; i < host_checkers_.size(); ++i) {
     host_checkers_[i]->register_metrics(metrics_, hosts_[i]->name() + "/invariants");
@@ -822,7 +827,8 @@ void FabricScenario::workload_accept(transport::Stack& st, const net::Packet& p)
   transport::TcpConnection& conn = st.open(p.flow, p.src);
   transport::Stack* sp = &st;
   const net::FlowId f = p.flow;
-  conn.set_on_fin([sp, f] { sp->simulator().after(sim::Time::zero(), [sp, f] { sp->close(f); }); });
+  conn.set_on_fin(
+      [sp, f] { sp->simulator().after(sim::Time::zero(), [sp, f] { sp->close_time_wait(f); }); });
 }
 
 void FabricScenario::build_workload(int n_hosts, double bisection_bytes_per_sec) {
@@ -1115,6 +1121,7 @@ FabricScenarioResults FabricScenario::run_measure() {
       r.conn_pool_opens += st->opens();
       r.conn_pool_reuses += st->pool_reuses();
       r.orphan_packets += st->orphan_packets();
+      r.time_wait_segments += st->time_wait_segments();
     }
     for (auto& w : workloads_) {
       r.flows_started += w->flows_started();

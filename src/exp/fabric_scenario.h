@@ -185,6 +185,7 @@ struct FabricScenarioResults {
   std::uint64_t conn_pool_opens = 0;     // stack open() calls (incl. prewarm)
   std::uint64_t conn_pool_reuses = 0;    // opens served from the free pool
   std::uint64_t orphan_packets = 0;      // arrivals for no/retired connection
+  std::uint64_t time_wait_segments = 0;  // re-ACKed segments of TIME-WAIT flows
   std::uint64_t rpc_trees_started = 0;   // RPC fan-out/fan-in invocations
   std::uint64_t rpc_trees_completed = 0;
   std::uint64_t rpc_trees_skipped = 0;   // invocation while one outstanding

@@ -9,13 +9,48 @@ namespace hostcc::host {
 namespace {
 
 // One idle-quantum step of `e`: the add(0) a quantum with no grants and no
-// pressure applies. Returns whether it changed anything; once no EWMA
-// changes, every further step is a no-op too (floating-point fixed point).
+// pressure applies. Returns whether it changed anything.
 bool decay_step(sim::Ewma& e) {
   const bool was_seeded = e.seeded();
   const auto before = std::bit_cast<std::uint64_t>(e.value());
   e.add(0.0);
   return !was_seeded || std::bit_cast<std::uint64_t>(e.value()) != before;
+}
+
+// Applies `steps` more add(0) steps to seeded EWMAs, kLanes at a time, as
+// exactly v += w * (0.0 - v) in branch-free blocks of kBlock steps. Each
+// value's sequence depends on nothing else, and once one step leaves every
+// value unchanged (the floating-point fixed point) all further steps do
+// too; that is checked once per block, so a long gap stops early with the
+// same bits the one-by-one steps would give.
+void decay_seeded(sim::Ewma* const* ewmas, std::size_t count, std::uint64_t steps) {
+  constexpr std::size_t kLanes = 8;
+  constexpr std::uint64_t kBlock = 64;
+  for (std::size_t first = 0; first < count; first += kLanes) {
+    const std::size_t lanes = std::min(kLanes, count - first);
+    // Unused lanes hold 0 with weight 0: they stay 0 and never "move".
+    double v[kLanes] = {};
+    double w[kLanes] = {};
+    for (std::size_t j = 0; j < lanes; ++j) {
+      v[j] = ewmas[first + j]->value();
+      w[j] = ewmas[first + j]->weight();
+    }
+    for (std::uint64_t left = steps; left > 0;) {
+      const std::uint64_t block = std::min(left, kBlock);
+      left -= block;
+      for (std::uint64_t k = 1; k < block; ++k) {
+        for (std::size_t j = 0; j < kLanes; ++j) v[j] += w[j] * (0.0 - v[j]);
+      }
+      bool moved = false;
+      for (std::size_t j = 0; j < kLanes; ++j) {
+        const auto before = std::bit_cast<std::uint64_t>(v[j]);
+        v[j] += w[j] * (0.0 - v[j]);
+        moved |= std::bit_cast<std::uint64_t>(v[j]) != before;
+      }
+      if (!moved) break;
+    }
+    for (std::size_t j = 0; j < lanes; ++j) ewmas[first + j]->set_value(v[j]);
+  }
 }
 
 }  // namespace
@@ -37,19 +72,19 @@ sim::Time MemoryController::extra_latency_at(double util) {
 
 // An idle quantum grants nothing, so it only feeds a zero sample to every
 // EWMA (rate 0 * scale, pressure 0, utilization 0 + 0), recomputes the load
-// latency from the decayed utilization and sees zero resident bytes.
+// latency from the decayed utilization and sees zero resident bytes. The
+// first step may seed an EWMA that never saw a sample, so it runs through
+// add(); the rest run in bulk.
 void MemoryController::replay_idle_quanta() const {
   const std::uint64_t pending = timer_.idle_ticks() - replayed_;
-  for (std::uint64_t k = 0; k < pending; ++k) {
-    bool moved = false;
-    for (std::size_t i = 0; i < sources_.size(); ++i) {
-      moved |= decay_step(rate_ewma_[i]);
-      moved |= decay_step(pressure_ewma_[i]);
-    }
-    moved |= decay_step(util_ewma_);
-    if (!moved) break;
-  }
   replayed_ = timer_.idle_ticks();
+  bool moved = false;
+  for (std::size_t i = 0; i < sources_.size(); ++i) {
+    moved |= decay_step(rate_ewma_[i]);
+    moved |= decay_step(pressure_ewma_[i]);
+  }
+  moved |= decay_step(util_ewma_);
+  if (moved && pending > 1) decay_seeded(replay_ewmas_.data(), replay_ewmas_.size(), pending - 1);
   extra_latency_ = extra_latency_at(util_ewma_.value());
   queue_wait_ = sim::Time::zero();
 }

@@ -25,6 +25,12 @@ class Ewma {
 
   double value() const { return value_; }
   bool seeded() const { return seeded_; }
+  // Overwrites a seeded average's value; for callers that apply a run of
+  // add() steps themselves, with the same arithmetic (bulk replays).
+  void set_value(double v) {
+    assert(seeded_);
+    value_ = v;
+  }
   double weight() const { return weight_; }
 
   void reset() {

@@ -46,10 +46,7 @@ class ShardChannels {
 
   explicit ShardChannels(int cells) : cells_(cells) {
     inbound_.resize(cells);
-    outbound_.resize(cells);
-    ready_.resize(cells);
-    window_.resize(cells);
-    scheduled_.assign(cells, 0);
+    queues_.resize(cells);
   }
 
   ShardChannels(const ShardChannels&) = delete;
@@ -64,16 +61,16 @@ class ShardChannels {
     channels_.push_back(std::make_unique<Channel>());
     Channel& ch = *channels_.back();
     ch.id = id;
+    ch.from = from_cell;
     ch.deliver = std::move(deliver);
     inbound_[to_cell].push_back(&ch);
-    outbound_[from_cell].push_back(&ch);
     return id;
   }
 
   // Producer side; must run on the producing cell's thread.
   void push(int chan_id, Time due, const P& payload) {
     Channel& ch = *channels_[chan_id];
-    ch.bufs[ch.prod_parity].push_back({due, ch.next_seq++, payload});
+    ch.bufs[queues_[ch.from].parity].msgs.push_back({due, ch.seq.next++, payload});
   }
 
   // Consumer side; must run on `cell`'s thread at its first entry into
@@ -81,39 +78,42 @@ class ShardChannels {
   // epoch's end. Schedules the epoch's deliveries into `sim`.
   void begin_epoch(int cell, std::int64_t epoch, Time window_end, Simulator& sim) {
     // Flip this cell's outbound buffers to the new epoch's parity.
-    const int parity = static_cast<int>(epoch & 1);
-    for (Channel* ch : outbound_[cell]) ch->prod_parity = parity;
+    CellQueue& q = queues_[cell];
+    q.parity = static_cast<int>(epoch & 1);
 
     // Drain what producers published last epoch ((epoch-1)'s parity —
-    // empty at epoch 0) into the arrival heap.
-    std::vector<Msg>& heap = ready_[cell];
+    // empty at epoch 0) into the arrival heap. An empty buffer is only
+    // read, never written: its producer is busy with the other parity.
+    std::vector<Msg>& heap = q.ready;
     const int drain = static_cast<int>((epoch + 1) & 1);
     for (Channel* ch : inbound_[cell]) {
-      for (Msg& m : ch->bufs[drain]) {
+      std::vector<Msg>& buf = ch->bufs[drain].msgs;
+      if (buf.empty()) continue;
+      for (Msg& m : buf) {
         m.chan = ch->id;
         heap.push_back(std::move(m));
         std::push_heap(heap.begin(), heap.end(), Later{});
       }
-      ch->bufs[drain].clear();
+      buf.clear();
     }
 
     // Promote everything due inside this window to the delivery FIFO, one
     // event each. The tiny [this, cell] capture stays inside the event
     // queue's inline-callback budget; the payload rides the deque.
-    std::deque<Msg>& window = window_[cell];
+    std::deque<Msg>& window = q.window;
     while (!heap.empty() && heap.front().due < window_end) {
       std::pop_heap(heap.begin(), heap.end(), Later{});
       window.push_back(std::move(heap.back()));
       heap.pop_back();
       sim.at(window.back().due, [this, cell] { deliver_front(cell); });
-      ++scheduled_[cell];
+      ++q.scheduled;
     }
   }
 
   int cell_count() const { return cells_; }
   int channel_count() const { return static_cast<int>(channels_.size()); }
   // Messages handed to deliver callbacks so far, per cell / total.
-  std::uint64_t delivered(int cell) const { return scheduled_[cell] - pending(cell); }
+  std::uint64_t delivered(int cell) const { return queues_[cell].scheduled - pending(cell); }
   std::uint64_t total_delivered() const {
     std::uint64_t n = 0;
     for (int c = 0; c < cells_; ++c) n += delivered(c);
@@ -135,31 +135,45 @@ class ShardChannels {
       return a.seq > b.seq;
     }
   };
+  // Per-cell queues, and the parts of a channel that its producer and its
+  // consumer write, sit on cache lines of their own: cells on different
+  // workers update theirs at the same time.
+  struct alignas(64) Seq {
+    std::uint64_t next = 0;
+  };
+  struct alignas(64) Buffer {
+    std::vector<Msg> msgs;
+  };
   struct Channel {
     int id = -1;
+    int from = -1;  // producing cell
     Deliver deliver;
-    std::uint64_t next_seq = 0;
-    int prod_parity = 0;
-    std::vector<Msg> bufs[2];
+    Seq seq;         // producer only
+    Buffer bufs[2];  // by epoch parity: one filling, one draining
+  };
+
+  struct alignas(64) CellQueue {
+    std::vector<Msg> ready;      // arrival min-heap
+    std::deque<Msg> window;      // delivery FIFO
+    std::uint64_t scheduled = 0;  // delivery events
+    int parity = 0;              // buffer parity this cell produces into
   };
 
   std::uint64_t pending(int cell) const {
-    return static_cast<std::uint64_t>(window_[cell].size());
+    return static_cast<std::uint64_t>(queues_[cell].window.size());
   }
 
   void deliver_front(int cell) {
-    Msg m = std::move(window_[cell].front());
-    window_[cell].pop_front();
+    std::deque<Msg>& window = queues_[cell].window;
+    Msg m = std::move(window.front());
+    window.pop_front();
     channels_[m.chan]->deliver(m.payload);
   }
 
   int cells_;
   std::vector<std::unique_ptr<Channel>> channels_;
   std::vector<std::vector<Channel*>> inbound_;   // per consumer cell
-  std::vector<std::vector<Channel*>> outbound_;  // per producer cell
-  std::vector<std::vector<Msg>> ready_;          // per-cell arrival min-heap
-  std::vector<std::deque<Msg>> window_;          // per-cell delivery FIFO
-  std::vector<std::uint64_t> scheduled_;         // per-cell delivery events
+  std::vector<CellQueue> queues_;                // per consumer cell
 };
 
 }  // namespace hostcc::sim

@@ -4,6 +4,7 @@
 // backlog (socket-buffer accounting).
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <functional>
 #include <memory>
@@ -74,6 +75,25 @@ class Stack {
     free_.push_back(std::move(nh));
   }
 
+  // Retires an endpoint whose message completed (the receiver got and
+  // ACKed the FIN, or the sender saw everything ACKed) like close(), and
+  // enters it into TIME-WAIT, remembering the flow's final ACK. Late
+  // segments of the flow then count as time_wait_segments, not orphans:
+  // a FIN or data retransmit (its sender missed the final ACK) is
+  // re-ACKed, and an ACK that crossed the sender's own completion is
+  // dropped. The re-ACK covers the segment, never past the final ACK: a
+  // sender rewound by an RTO discards ACKs beyond what it has resent, so
+  // it walks to the final ACK one resent segment at a time. The table
+  // keeps the last kTimeWaitSlots flows retired this way; it exists once
+  // an accept hook is set.
+  void close_time_wait(net::FlowId flow) {
+    const net::SeqNum final_ack = connection(flow).rcv_nxt();
+    close(flow);
+    if (time_wait_.empty()) return;
+    time_wait_[time_wait_next_] = {flow, final_ack, true};
+    time_wait_next_ = (time_wait_next_ + 1) % time_wait_.size();
+  }
+
   // Passive-open hook: a data packet for an unknown flow that starts the
   // stream (seq 0) or was sent before the sender's first ACK (syn) is
   // offered to the hook, which may open the receiving endpoint; the packet
@@ -82,12 +102,17 @@ class Stack {
   // retransmitted seq 0 fills the hole. The
   // workload engine uses this so receiver endpoints come into existence
   // only when a message actually arrives.
-  void set_accept(std::function<void(const net::Packet&)> fn) { accept_ = std::move(fn); }
+  void set_accept(std::function<void(const net::Packet&)> fn) {
+    accept_ = std::move(fn);
+    time_wait_.assign(kTimeWaitSlots, TimeWait{});
+  }
 
   std::uint64_t opens() const { return opens_; }
   std::uint64_t closes() const { return closes_; }
   std::uint64_t pool_reuses() const { return pool_reuses_; }
   std::uint64_t orphan_packets() const { return orphan_packets_; }
+  // Late segments of flows in TIME-WAIT (see close_time_wait).
+  std::uint64_t time_wait_segments() const { return time_wait_segments_; }
   std::size_t pooled_connections() const { return free_.size(); }
   std::size_t live_connections() const { return conns_.size(); }
 
@@ -176,6 +201,13 @@ class Stack {
   }
 
  private:
+  struct TimeWait {
+    net::FlowId flow = 0;
+    net::SeqNum final_ack = 0;
+    bool used = false;
+  };
+  static constexpr std::size_t kTimeWaitSlots = 256;
+
   void dispatch(const net::Packet& p) {
     if (p.dst != id_) return;  // mis-delivered; fabric bug guard
     obs::ProfScope scope(prof_);
@@ -188,15 +220,33 @@ class Stack {
       it->second->on_packet(p);
       return;
     }
+    // A straggling FIN or data retransmit for a retired flow means the
+    // sender never saw the final ACK (it was lost). Re-ACK it so the
+    // sender's episode completes instead of RTO-looping against a closed
+    // endpoint; a late ACK to a retired sender needs no answer. Only FINs
+    // are answered once the flow has left TIME-WAIT.
+    if (const TimeWait* tw = find_time_wait(p.flow)) {
+      ++time_wait_segments_;
+      if (p.payload > 0) send_bare_ack(p, std::min(p.end_seq(), tw->final_ack));
+      return;
+    }
     ++orphan_packets_;
-    // A straggling FIN retransmit for a retired flow means the sender
-    // never saw the final ACK (it was lost). Re-ACK it so the sender's
-    // episode completes instead of RTO-looping against a closed endpoint
-    // — TCP's re-ACK of old segments, minus the TIME-WAIT state.
-    if (accept_ && p.payload > 0 && p.fin) orphan_fin_ack(p);
+    if (accept_ && p.payload > 0 && p.fin) send_bare_ack(p, p.end_seq());
   }
 
-  void orphan_fin_ack(const net::Packet& p) {
+  // Newest record first: a flow id retired again after a reuse shadows its
+  // older record.
+  const TimeWait* find_time_wait(net::FlowId flow) const {
+    const std::size_t n = time_wait_.size();
+    for (std::size_t k = 1; k <= n; ++k) {
+      const TimeWait& tw = time_wait_[(time_wait_next_ + n - k) % n];
+      if (!tw.used) return nullptr;  // slots fill in order; the rest are unused
+      if (tw.flow == flow) return &tw;
+    }
+    return nullptr;
+  }
+
+  void send_bare_ack(const net::Packet& p, net::SeqNum ack) {
     net::PacketRef ar = packet_pool().make();
     net::Packet& a = *ar;
     a.id = next_packet_id();
@@ -206,7 +256,7 @@ class Stack {
     a.payload = 0;
     a.size = net::kHeaderBytes;
     a.has_ack = true;
-    a.ack = p.end_seq();
+    a.ack = ack;
     a.rwnd = cfg_.max_cwnd;
     a.sent_at = sim_.now();
     output(std::move(ar));
@@ -228,6 +278,9 @@ class Stack {
   std::uint64_t closes_ = 0;
   std::uint64_t pool_reuses_ = 0;
   std::uint64_t orphan_packets_ = 0;
+  std::uint64_t time_wait_segments_ = 0;
+  std::vector<TimeWait> time_wait_;  // ring; time_wait_next_ is the oldest
+  std::size_t time_wait_next_ = 0;
   std::uint64_t pkt_seq_ = 0;
   obs::FlowStats* flow_stats_ = nullptr;
   obs::ProfHandle prof_;

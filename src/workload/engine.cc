@@ -103,7 +103,7 @@ void HostWorkload::on_flow_complete(int slot) {
   // immediate event instead of underneath the transport's own call stack.
   transport::Stack* s = &stack_;
   const net::FlowId flow = flow_of_slot(slot);
-  sim_.after(sim::Time::zero(), [s, flow] { s->close(flow); });
+  sim_.after(sim::Time::zero(), [s, flow] { s->close_time_wait(flow); });
 }
 
 RpcTreeRoot::RpcTreeRoot(sim::Simulator& sim, std::vector<transport::TcpConnection*> children,

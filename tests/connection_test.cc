@@ -187,6 +187,55 @@ TEST(ConnectionLossTest, ChurnFlowSurvivesLostFirstSegment) {
   EXPECT_EQ(tx.snd_una(), kMessage);
 }
 
+// Flow churn: the ACKs of the last three segments of a message are all
+// lost, so the receiver gets the whole message, ACKs its FIN and retires
+// while the sender still waits. The sender's next transmissions reach the
+// retired endpoint, whose TIME-WAIT record re-ACKs them: nothing is
+// orphaned and the sender's message completes. With TLP the probe is the
+// FIN segment; without it, the RTO resends plain data, one segment per
+// re-ACK.
+void run_stale_tail_into_time_wait(bool tlp) {
+  TransportConfig tcfg;
+  tcfg.tlp_enabled = tlp;
+  Testbed tb(host::HostConfig{}, tcfg);
+  constexpr net::FlowId kFlow = 7;
+  constexpr sim::Bytes kMss = 4030;
+  constexpr sim::Bytes kMessage = 20 * kMss;
+  tb.b_host.set_egress([&](const net::Packet& p) {
+    // Lost until the endpoint re-ACKs from TIME-WAIT.
+    if (tb.b->time_wait_segments() > 0 || p.ack <= kMessage - 3 * kMss) {
+      tb.sim.after(sim::Time::microseconds(5), [&tb, p] { tb.a_host.receive_from_wire(p); });
+    }
+    tb.b_host.wire_dequeued(p);
+  });
+  tb.b->set_accept([&](const net::Packet& p) {
+    transport::TcpConnection& rx = tb.b->open(p.flow, p.src);
+    rx.set_on_fin([&] { tb.sim.after(sim::Time::zero(), [&] { tb.b->close_time_wait(kFlow); }); });
+  });
+  transport::TcpConnection& tx = tb.a->open(kFlow, 1);
+  tx.set_fin_on_complete(true);
+  tx.write(kMessage);
+  tb.run_for(sim::Time::milliseconds(1));
+  ASSERT_EQ(tb.b->closes(), 1u);  // retired on FIN
+  ASSERT_LT(tx.snd_una(), kMessage);
+  tb.run_for(sim::Time::milliseconds(999));
+
+  EXPECT_EQ(tx.stats().timeouts, tlp ? 0u : 1u);
+  EXPECT_EQ(tb.b->time_wait_segments(), tlp ? 1u : 3u);
+  EXPECT_EQ(tb.b->orphan_packets(), 0u);
+  EXPECT_EQ(tb.b->opens(), 1u);  // no stale segment re-opened the flow
+  EXPECT_EQ(tx.snd_una(), kMessage);
+  EXPECT_TRUE(tx.transfer_idle());
+}
+
+TEST(ConnectionLossTest, RetiredReceiverReAcksStaleDataFromTimeWait) {
+  run_stale_tail_into_time_wait(/*tlp=*/false);
+}
+
+TEST(ConnectionLossTest, RetiredReceiverReAcksStaleFinFromTimeWait) {
+  run_stale_tail_into_time_wait(/*tlp=*/true);
+}
+
 TEST(ConnectionLossTest, TailLossOfSinglePacketNeedsRto) {
   // The very last packet of a stream is dropped; with nothing in flight
   // behind it and only one packet outstanding, TLP is ineligible (§2.2)

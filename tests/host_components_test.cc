@@ -437,11 +437,14 @@ void run_idle_replay_script(std::size_t first_getter) {
   };
 
   // Bursts [begin, end) of non-zero offers per source; zero elsewhere.
+  // Gaps of 63..66 and 128..131 quanta after tick 200 put the replay's
+  // step count on both sides of its 64-step block boundaries.
   struct Burst {
     std::int64_t begin, end;
   };
   const std::vector<std::vector<Burst>> bursts = {
-      {{1, 40}, {41, 60}, {62, 80}, {83, 100}, {150, 200}, {60200, 60260}},
+      {{1, 40}, {41, 60}, {62, 80}, {83, 100}, {150, 200}, {263, 270}, {334, 340}, {405, 410},
+       {476, 480}, {608, 612}, {741, 745}, {875, 880}, {1011, 1015}, {60200, 60260}},
       {{10, 30}, {41, 55}, {150, 180}},
   };
   const auto offer = [&](std::size_t src, std::int64_t n) -> MemSource::Offer {
@@ -537,7 +540,7 @@ void run_idle_replay_script(std::size_t first_getter) {
   });
 
   sim.run_until(tick_time(60400) + q);
-  EXPECT_EQ(checks, static_cast<int>(mid.size()) + 9 + 2 + 3);
+  EXPECT_EQ(checks, static_cast<int>(mid.size() + bursts[0].size() + bursts[1].size()) + 2 + 3);
   EXPECT_TRUE(mc.idle());
   // The gaps really were skipped, not run.
   EXPECT_LT(mc.quanta_run(), 400u);

@@ -44,6 +44,7 @@
 #include "exp/scenario_file.h"
 #include "exp/table.h"
 #include "obs/log.h"
+#include "sim/sharded_sim.h"
 
 using namespace hostcc;
 
@@ -152,6 +153,29 @@ bool export_to(const std::string& path, Fn&& fn) {
   return true;
 }
 
+// One JSON meta line: a per-worker wall-clock figure of the sharded engine.
+void print_worker_walls(const char* key, const sim::ShardedSimulator& engine,
+                        double (sim::ShardedSimulator::*ms)(int) const) {
+  std::printf("    \"%s\": [", key);
+  for (int w = 0; w < engine.workers(); ++w) {
+    std::printf("%s%.1f", w > 0 ? ", " : "", (engine.*ms)(w));
+  }
+  std::printf("],\n");
+}
+
+// Appended to the --profile report of a sharded run: where each worker's
+// wall time went, running cells or waiting at the epoch barrier.
+void write_worker_report(std::ostream& out, const sim::ShardedSimulator& engine) {
+  out << "\n# sharded engine workers (wall-clock; non-deterministic)\n";
+  out << "worker,busy_wall_ms,barrier_wait_wall_ms\n";
+  char line[96];
+  for (int w = 0; w < engine.workers(); ++w) {
+    std::snprintf(line, sizeof(line), "%d,%.1f,%.1f\n", w, engine.worker_busy_wall_ms(w),
+                  engine.barrier_wait_wall_ms(w));
+    out << line;
+  }
+}
+
 }  // namespace
 
 // Rack-scale fabric mode (--topology): builds a FabricScenarioConfig from
@@ -204,8 +228,10 @@ int run_fabric(exp::FabricScenarioConfig fcfg, bool json, const ExportPaths& pat
       !export_to(paths.flow_stats, [&](std::ostream& out) { fs.flow_stats().write_csv(out); })) {
     return 1;
   }
-  if (!paths.profile.empty() &&
-      !export_to(paths.profile, [&](std::ostream& out) { fs.profiler().write_report(out); })) {
+  if (!paths.profile.empty() && !export_to(paths.profile, [&](std::ostream& out) {
+        fs.profiler().write_report(out);
+        if (fs.sharded()) write_worker_report(out, *fs.engine());
+      })) {
     return 1;
   }
 
@@ -240,6 +266,10 @@ int run_fabric(exp::FabricScenarioConfig fcfg, bool json, const ExportPaths& pat
       std::printf("    \"epochs\": %llu,\n",
                   static_cast<unsigned long long>(fs.engine()->epochs_entered()));
       std::printf("    \"shard_wall_ms\": %.1f,\n", fs.engine()->max_cell_wall_ms());
+      print_worker_walls("worker_busy_wall_ms", *fs.engine(),
+                         &sim::ShardedSimulator::worker_busy_wall_ms);
+      print_worker_walls("barrier_wait_wall_ms", *fs.engine(),
+                         &sim::ShardedSimulator::barrier_wait_wall_ms);
     }
     std::printf("    \"no_route_drops\": %llu,\n",
                 static_cast<unsigned long long>(r.fabric_no_route_drops));
@@ -290,7 +320,7 @@ int run_fabric(exp::FabricScenarioConfig fcfg, bool json, const ExportPaths& pat
       std::printf(
           ",\n  \"workload\": {\"arrival\": \"%s\", \"load\": %.3f, \"size_cdf\": \"%s\", "
           "\"flows_started\": %llu, \"flows_completed\": %llu, \"flows_skipped\": %llu, "
-          "\"conn_pool_opens\": %llu, \"conn_pool_reuses\": %llu, \"orphan_packets\": %llu}",
+          "\"conn_pool_opens\": %llu, \"conn_pool_reuses\": %llu, \"orphan_packets\": %llu",
           workload::arrival_kind_name(cfg.workload.arrival), cfg.workload.load,
           fs.workload_cdf().name().c_str(), static_cast<unsigned long long>(r.flows_started),
           static_cast<unsigned long long>(r.flows_completed),
@@ -298,6 +328,12 @@ int run_fabric(exp::FabricScenarioConfig fcfg, bool json, const ExportPaths& pat
           static_cast<unsigned long long>(r.conn_pool_opens),
           static_cast<unsigned long long>(r.conn_pool_reuses),
           static_cast<unsigned long long>(r.orphan_packets));
+      // Only when non-zero, so runs without late segments keep their output.
+      if (r.time_wait_segments > 0) {
+        std::printf(", \"time_wait_segments\": %llu",
+                    static_cast<unsigned long long>(r.time_wait_segments));
+      }
+      std::printf("}");
       if (cfg.workload.rpc.enabled) {
         std::printf(
             ",\n  \"rpc\": {\"trees_started\": %llu, \"trees_completed\": %llu, "
@@ -351,6 +387,7 @@ int run_fabric(exp::FabricScenarioConfig fcfg, bool json, const ExportPaths& pat
     t.add_row({"conn pool opens/reuses", std::to_string(r.conn_pool_opens) + " / " +
                                              std::to_string(r.conn_pool_reuses)});
     t.add_row({"orphan packets", std::to_string(r.orphan_packets)});
+    t.add_row({"TIME-WAIT segments re-ACKed", std::to_string(r.time_wait_segments)});
     if (cfg.workload.rpc.enabled) {
       t.add_row({"RPC trees completed/skipped", std::to_string(r.rpc_trees_completed) + " / " +
                                                     std::to_string(r.rpc_trees_skipped)});
